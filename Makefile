@@ -70,12 +70,17 @@ bench-json:
 # pooled wire path, written to bench-out/ for the CI artifact, plus the
 # budget gate — TestSealChainAllocBudget fails when allocs/op regresses
 # more than 10% over the committed baseline in
-# internal/smiop/testdata/alloc_budget.json.
+# internal/smiop/testdata/alloc_budget.json. The SRM queue's append and
+# checkpoint costs (windows of 1k/4k messages of 256 B/32 KiB) follow,
+# with the gate that a full queue's append cost does not grow with its
+# capacity.
 .PHONY: bench-mem
 bench-mem:
 	mkdir -p bench-out
 	$(GO) test -run='^$$' -bench='BenchmarkSealChain' -benchmem ./internal/smiop | tee bench-out/BENCHMEM.txt
 	$(GO) test -run=TestSealChainAllocBudget -v ./internal/smiop
+	$(GO) test -run='^$$' -bench='BenchmarkQueueExecuteFull|BenchmarkCheckpoint' -benchmem ./internal/srm | tee -a bench-out/BENCHMEM.txt
+	$(GO) test -run=TestQueueExecuteCostIndependentOfCapacity -v ./internal/srm
 
 # Continuous fuzzing of each decoder boundary, FUZZTIME per target.
 fuzz:
@@ -86,15 +91,16 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzReplyDigestDecode -fuzztime=$(FUZZTIME) ./internal/smiop
 	$(GO) test -run='^$$' -fuzz=FuzzSealedOpen -fuzztime=$(FUZZTIME) ./internal/seckey
 	$(GO) test -run='^$$' -fuzz=FuzzPrePrepareDecode -fuzztime=$(FUZZTIME) ./internal/pbft
+	$(GO) test -run='^$$' -fuzz=FuzzStateSnapshotDigest -fuzztime=$(FUZZTIME) ./internal/srm
 	$(GO) test -run='^$$' -fuzz=FuzzTCPFrameDecode -fuzztime=$(FUZZTIME) ./internal/transport/tcp
 
 # Replay the committed seed corpora without fuzzing (fast; part of CI).
 fuzz-smoke:
-	$(GO) test -run='Fuzz' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/transport/tcp
+	$(GO) test -run='Fuzz' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/pbft ./internal/srm ./internal/transport/tcp
 
 # Regenerate the committed fuzz seed corpora from golden vectors.
 corpus:
-	$(GO) test -tags corpusgen -run 'TestGen.*Corpus' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/transport/tcp
+	$(GO) test -tags corpusgen -run 'TestGen.*Corpus' ./internal/cdr ./internal/giop ./internal/smiop ./internal/seckey ./internal/srm ./internal/transport/tcp
 
 # --- real-socket cluster harness (cmd/itdos-cluster, cmd/itdos-load) ---
 

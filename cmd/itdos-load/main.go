@@ -100,4 +100,8 @@ func report(res *cluster.LoadResult, hist *obs.Histogram) {
 	fmt.Printf("throughput  %.1f calls/s\n", res.Throughput())
 	fmt.Printf("latency     p50 %.2f ms  p95 %.2f ms  p99 %.2f ms\n",
 		hist.Quantile(0.50), hist.Quantile(0.95), hist.Quantile(0.99))
+	fmt.Printf("gen lag     p99 %.2f ms  max %.2f ms\n",
+		ms(res.LagP99), ms(res.LagMax))
 }
+
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -293,6 +293,13 @@ func (a *blobApp) Snapshot() []byte {
 	return e.Bytes()
 }
 
+func (a *blobApp) Checkpoint() (pbft.Digest, func() []byte) { return pbft.WholeSnapshot(a.Snapshot()) }
+
+func (a *blobApp) SnapshotDigest(snapshot []byte) (pbft.Digest, error) {
+	d, _ := pbft.WholeSnapshot(snapshot)
+	return d, nil
+}
+
 func (a *blobApp) Restore(snapshot []byte) error {
 	d := cdr.NewDecoder(snapshot, cdr.BigEndian)
 	n, err := d.ReadULong()

@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,8 +33,10 @@ type LoadConfig struct {
 	// Seed drives the arrival process RNG.
 	Seed int64
 	// Hist, when non-nil, receives each completed call's wall-clock
-	// latency in milliseconds. Observations are serialised internally (an
-	// obs.Registry is not locked).
+	// latency in milliseconds, timed from the call's scheduled arrival (so
+	// a generator that falls behind its schedule does not hide the delay).
+	// Observations are serialised internally (an obs.Registry is not
+	// locked).
 	Hist *obs.Histogram
 	// Warmup, when set, issues one unmeasured call per client first, so
 	// the measured window sees warm Group Manager connections (connection
@@ -53,6 +56,11 @@ type LoadResult struct {
 	FirstError string
 	// Elapsed is the wall-clock span from first arrival to last completion.
 	Elapsed time.Duration
+	// LagP99 and LagMax describe how late the generator issued arrivals
+	// against their Poisson schedule (99th percentile and maximum). Lag is
+	// already inside the measured latencies; large values mean the load
+	// process itself, not the system under test, was the bottleneck.
+	LagP99, LagMax time.Duration
 }
 
 // Throughput returns the achieved completion rate in calls per second.
@@ -111,6 +119,7 @@ func (n *Node) RunLoad(cfg LoadConfig) (*LoadResult, error) {
 	res := &LoadResult{Offered: cfg.Total}
 	var mu sync.Mutex
 	var wg sync.WaitGroup
+	lags := make([]time.Duration, cfg.Total)
 	start := time.Now()
 	next := start
 	for i := 0; i < cfg.Total; i++ {
@@ -121,12 +130,12 @@ func (n *Node) RunLoad(cfg LoadConfig) (*LoadResult, error) {
 		}
 		client := clients[i%len(clients)]
 		wg.Add(1)
-		go func(i int, client string) {
+		go func(i int, client string, arrival time.Time) {
 			defer wg.Done()
 			args, check := loadCall(cfg.Op, i)
-			t0 := time.Now()
+			lags[i] = time.Since(arrival)
 			vals, err := n.Call(client, ref, cfg.Op, args, cfg.Timeout)
-			lat := time.Since(t0)
+			lat := time.Since(arrival)
 			if err == nil {
 				err = check(vals)
 			}
@@ -141,10 +150,13 @@ func (n *Node) RunLoad(cfg LoadConfig) (*LoadResult, error) {
 			}
 			res.Completed++
 			cfg.Hist.Observe(float64(lat.Microseconds()) / 1000)
-		}(i, client)
+		}(i, client, next)
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)
+	slices.Sort(lags)
+	res.LagP99 = lags[(len(lags)-1)*99/100]
+	res.LagMax = lags[len(lags)-1]
 	return res, nil
 }
 

@@ -35,6 +35,13 @@ func (a *logApp) Snapshot() []byte {
 	return e.Bytes()
 }
 
+func (a *logApp) Checkpoint() (Digest, func() []byte) { return WholeSnapshot(a.Snapshot()) }
+
+func (a *logApp) SnapshotDigest(snapshot []byte) (Digest, error) {
+	d, _ := WholeSnapshot(snapshot)
+	return d, nil
+}
+
 func (a *logApp) Restore(snapshot []byte) error {
 	d := cdr.NewDecoder(snapshot, cdr.BigEndian)
 	n, err := d.ReadULong()

@@ -2,12 +2,10 @@ package pbft
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"sort"
 	"time"
 
-	"itdos/internal/cdr"
 	"itdos/internal/obs"
 	"itdos/internal/obs/flight"
 	"itdos/internal/quorum"
@@ -18,8 +16,8 @@ import (
 // machine the test needs.
 //
 // Execute must be deterministic: given the same sequence of operations,
-// every correct replica must produce the same results and the same
-// Snapshot bytes.
+// every correct replica must produce the same results, the same Snapshot
+// bytes and the same Checkpoint digests.
 type App interface {
 	// Execute applies one totally-ordered operation and returns its
 	// result. clientID is the authenticated identity of the requester
@@ -29,6 +27,16 @@ type App interface {
 	Snapshot() []byte
 	// Restore replaces the application state from a snapshot.
 	Restore(snapshot []byte) error
+	// Checkpoint returns a digest committing to the current state and a
+	// function that later encodes that same state as a Snapshot would
+	// have, however far execution has moved on. The digest must equal
+	// SnapshotDigest of that encoding.
+	Checkpoint() (Digest, func() []byte)
+	// SnapshotDigest returns the digest Checkpoint reports for the state
+	// snapshot encodes, or an error for any snapshot Restore would reject.
+	// Snapshots come from peers during state transfer, so it must bound
+	// what it allocates.
+	SnapshotDigest(snapshot []byte) (Digest, error)
 }
 
 // Env is the world a replica talks to. Implementations exist for the
@@ -183,7 +191,7 @@ type Replica struct {
 	log         map[uint64]*entry
 	checkpoints map[uint64]map[ReplicaID]*Checkpoint
 	stableProof []*Checkpoint
-	snapshots   map[uint64][]byte
+	snapshots   map[uint64]*checkpointState
 	clientTable map[string]*clientRecord
 
 	// outstanding tracks forwarded-but-unexecuted request digests for
@@ -280,7 +288,7 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 		env:         env,
 		log:         make(map[uint64]*entry),
 		checkpoints: make(map[uint64]map[ReplicaID]*Checkpoint),
-		snapshots:   make(map[uint64][]byte),
+		snapshots:   make(map[uint64]*checkpointState),
 		clientTable: make(map[string]*clientRecord),
 		outstanding: make(map[Digest]*Request),
 		pendingSet:  make(map[Digest]bool),
@@ -313,7 +321,7 @@ func NewReplica(cfg Config, app App, env Env) (*Replica, error) {
 	r.flightID = fmt.Sprintf("%s/r%d", cfg.MetricsLabel, cfg.ID)
 	// Seq 0 is the genesis stable checkpoint; its snapshot is the initial
 	// state so peers can bootstrap from it.
-	r.snapshots[0] = r.stateBytes()
+	r.snapshots[0] = r.captureState()
 	return r, nil
 }
 
@@ -906,74 +914,10 @@ func (r *Replica) executeEntry(seq uint64, en *entry) {
 	}
 }
 
-// stateBytes canonically serialises replica state: the application snapshot
-// plus the client table (needed for at-most-once semantics after state
-// transfer, as in Castro-Liskov where the client table is part of state).
-func (r *Replica) stateBytes() []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteOctets(r.app.Snapshot())
-	ids := make([]string, 0, len(r.clientTable))
-	for id := range r.clientTable {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	e.WriteULong(uint32(len(ids)))
-	for _, id := range ids {
-		rec := r.clientTable[id]
-		e.WriteString(id)
-		e.WriteULongLong(rec.seq)
-		e.WriteBoolean(rec.hasReply)
-		e.WriteOctets(rec.result)
-	}
-	return e.Bytes()
-}
-
-func (r *Replica) restoreState(buf []byte) error {
-	d := cdr.NewDecoder(buf, cdr.BigEndian)
-	snap, err := d.ReadOctets()
-	if err != nil {
-		return fmt.Errorf("pbft: state snapshot: %w", err)
-	}
-	if err := r.app.Restore(append([]byte(nil), snap...)); err != nil {
-		return fmt.Errorf("pbft: app restore: %w", err)
-	}
-	n, err := d.ReadULong()
-	if err != nil {
-		return fmt.Errorf("pbft: state client table: %w", err)
-	}
-	if n > maxProofEntries {
-		return fmt.Errorf("pbft: implausible client table size %d", n)
-	}
-	table := make(map[string]*clientRecord, n)
-	for i := 0; i < int(n); i++ {
-		id, err := d.ReadString()
-		if err != nil {
-			return err
-		}
-		seq, err := d.ReadULongLong()
-		if err != nil {
-			return err
-		}
-		hasReply, err := d.ReadBoolean()
-		if err != nil {
-			return err
-		}
-		result, err := d.ReadOctets()
-		if err != nil {
-			return err
-		}
-		table[id] = &clientRecord{
-			seq: seq, result: append([]byte(nil), result...), hasReply: hasReply,
-		}
-	}
-	r.clientTable = table
-	return nil
-}
-
 func (r *Replica) takeCheckpoint(seq uint64) {
-	state := r.stateBytes()
+	state := r.captureState()
 	r.snapshots[seq] = state
-	c := &Checkpoint{Seq: seq, StateDigest: sha256.Sum256(state), Replica: r.cfg.ID}
+	c := &Checkpoint{Seq: seq, StateDigest: state.digest, Replica: r.cfg.ID}
 	r.broadcast(c)
 	r.mCheckpoints.Inc()
 	r.recordCheckpoint(c)
@@ -1024,7 +968,7 @@ func (r *Replica) recordCheckpoint(c *Checkpoint) {
 		}
 		// Only stabilise on our own digest; a mismatch means divergence
 		// (should be impossible for a correct replica).
-		if own, ok := r.snapshots[c.Seq]; ok && sha256.Sum256(own) == digest {
+		if own, ok := r.snapshots[c.Seq]; ok && own.digest == digest {
 			r.stabilise(c.Seq, proof)
 		}
 		return
@@ -1120,7 +1064,7 @@ func (r *Replica) Recover() {
 	if ra, ok := r.app.(interface{ Reset() }); ok {
 		ra.Reset()
 	}
-	r.snapshots = map[uint64][]byte{0: r.stateBytes()}
+	r.snapshots = map[uint64]*checkpointState{0: r.captureState()}
 	// Ask every peer for its stable checkpoint. fetching stays false so a
 	// later checkpoint quorum can still drive requestState if nobody
 	// answers (e.g. no checkpoint has stabilised yet).
@@ -1152,12 +1096,12 @@ func (r *Replica) onFetchState(fs *FetchState) {
 	if r.lowWater < fs.Seq || len(r.stableProof) == 0 {
 		return
 	}
-	snap, ok := r.snapshots[r.lowWater]
+	state, ok := r.snapshots[r.lowWater]
 	if !ok {
 		return
 	}
 	sd := &StateData{
-		Seq: r.lowWater, Snapshot: snap,
+		Seq: r.lowWater, Snapshot: state.snapshot(),
 		Proof: r.stableProof, Replica: r.cfg.ID,
 	}
 	r.send(fs.Replica, sd)
@@ -1168,17 +1112,36 @@ func (r *Replica) onStateData(sd *StateData) {
 	if sd.Seq <= r.lastExec {
 		return
 	}
-	if !r.verifyCheckpointProof(sd.Seq, sha256.Sum256(sd.Snapshot), sd.Proof) {
+	// Parse once, digest the parsed content, and check the certificate
+	// before anything is restored: a snapshot that does not hash to the
+	// 2f+1 checkpoint digest leaves the replica untouched.
+	app, clients, err := DecodeState(sd.Snapshot)
+	if err != nil {
+		return
+	}
+	appDigest, err := r.app.SnapshotDigest(app)
+	if err != nil {
+		return
+	}
+	digest := StateDigest(appDigest, clients)
+	if !r.verifyCheckpointProof(sd.Seq, digest, sd.Proof) {
 		return
 	}
 	// The restore below replaces application state wholesale; any
 	// speculative suffix built on the old state is void.
 	r.dropSpeculation()
-	if err := r.restoreState(sd.Snapshot); err != nil {
+	if err := r.app.Restore(app); err != nil {
 		return
 	}
+	table := make(map[string]*clientRecord, len(clients))
+	for _, c := range clients {
+		table[c.ID] = &clientRecord{
+			seq: c.Seq, result: append([]byte(nil), c.Result...), hasReply: c.HasReply,
+		}
+	}
+	r.clientTable = table
 	r.lastExec = sd.Seq
-	r.snapshots[sd.Seq] = sd.Snapshot
+	r.snapshots[sd.Seq] = &checkpointState{digest: digest, bytes: sd.Snapshot}
 	r.stabilise(sd.Seq, sd.Proof)
 	if r.seq < sd.Seq {
 		r.seq = sd.Seq

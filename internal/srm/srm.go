@@ -27,10 +27,10 @@ import (
 	"time"
 
 	"itdos/internal/cdr"
-	"itdos/internal/transport"
 	"itdos/internal/obs"
 	"itdos/internal/obs/flight"
 	"itdos/internal/pbft"
+	"itdos/internal/transport"
 )
 
 // Ack is the static PBFT-level reply acknowledging that a message was
@@ -38,17 +38,35 @@ import (
 // Castro-Liskov layer is a static reply that acts as an acknowledgement").
 var Ack = []byte("SRM-ACK")
 
-// queuedMsg is one totally-ordered message.
+// queuedMsg is one totally-ordered message. Its data is immutable once
+// queued, so checkpoints share it instead of copying it.
 type queuedMsg struct {
 	seq    uint64
 	sender string
 	data   []byte
+	// digest is H(seq ‖ len(sender) ‖ sender ‖ data), computed once when
+	// the message is queued; checkpoints hash these instead of the data.
+	digest pbft.Digest
+}
+
+// newMsg copies data into a fresh buffer laid out as
+// seq ‖ len(sender) ‖ sender ‖ data and hashes it, so queuing a message
+// costs one allocation and one pass over its bytes. The message keeps the
+// data tail of the buffer.
+func newMsg(seq uint64, sender string, data []byte) queuedMsg {
+	hdr := 16 + len(sender)
+	buf := make([]byte, hdr+len(data))
+	binary.BigEndian.PutUint64(buf, seq)
+	binary.BigEndian.PutUint64(buf[8:], uint64(len(sender)))
+	copy(buf[16:], sender)
+	copy(buf[hdr:], data)
+	return queuedMsg{seq: seq, sender: sender, data: buf[hdr:len(buf):len(buf)], digest: sha256.Sum256(buf)}
 }
 
 // Queue is the replicated state machine: an ordered window of delivered
 // messages. It implements pbft.App. All replicas execute the same
 // operations in the same order, so their queues — and therefore their
-// snapshots — are identical.
+// snapshots and checkpoint digests — are identical.
 type Queue struct {
 	window  []queuedMsg
 	nextSeq uint64
@@ -90,15 +108,30 @@ func NewQueue(capacity int, onAppend func(seq uint64, sender string, data []byte
 func (q *Queue) Execute(clientID string, op []byte) []byte {
 	seq := q.nextSeq
 	q.nextSeq++
-	q.window = append(q.window, queuedMsg{seq: seq, sender: clientID, data: append([]byte(nil), op...)})
-	if len(q.window) > q.capacity {
-		q.window = append([]queuedMsg(nil), q.window[len(q.window)-q.capacity:]...)
-	}
+	q.push(newMsg(seq, clientID, op))
 	q.gDepth.Set(float64(len(q.window)))
 	if q.onAppend != nil {
 		q.onAppend(seq, clientID, op)
 	}
 	return Ack
+}
+
+// push appends m, garbage-collecting the oldest message once the window is
+// at capacity. Collection drops the front entry in place; only when the
+// backing array is exhausted are the live entries copied, into an array
+// twice their number, so an append costs amortised O(1) entries however
+// large the capacity.
+func (q *Queue) push(m queuedMsg) {
+	if len(q.window) == q.capacity {
+		q.window[0] = queuedMsg{} // release the collected message's bytes
+		q.window = q.window[1:]
+	}
+	if len(q.window) == cap(q.window) {
+		grown := make([]queuedMsg, len(q.window), max(2*len(q.window), 8))
+		copy(grown, q.window)
+		q.window = grown
+	}
+	q.window = append(q.window, m)
 }
 
 // NextSeq returns the sequence number the next message will receive.
@@ -116,47 +149,33 @@ func (q *Queue) WindowStart() uint64 {
 func (q *Queue) Len() int { return len(q.window) }
 
 // Snapshot implements pbft.App with a canonical encoding.
-func (q *Queue) Snapshot() []byte {
-	e := cdr.NewEncoder(cdr.BigEndian)
-	e.WriteULongLong(q.nextSeq)
-	e.WriteULong(uint32(len(q.window)))
-	for _, m := range q.window {
-		e.WriteULongLong(m.seq)
-		e.WriteString(m.sender)
-		e.WriteOctets(m.data)
+func (q *Queue) Snapshot() []byte { return encodeWindow(q.nextSeq, q.window) }
+
+// Checkpoint implements pbft.App. The digest is
+// H(nextSeq ‖ len(window) ‖ per-message digests), 32 bytes of hashing per
+// retained message. The encoder holds a copy of the window's entry
+// headers, sharing the immutable message bytes, and produces the snapshot
+// only if a peer fetches this checkpoint.
+func (q *Queue) Checkpoint() (pbft.Digest, func() []byte) {
+	nextSeq, window := q.nextSeq, append([]queuedMsg(nil), q.window...)
+	return windowDigest(nextSeq, window), func() []byte { return encodeWindow(nextSeq, window) }
+}
+
+// SnapshotDigest implements pbft.App: it parses the snapshot exactly as
+// Restore does and digests the parsed content.
+func (q *Queue) SnapshotDigest(snapshot []byte) (pbft.Digest, error) {
+	nextSeq, window, err := decodeWindow(snapshot, q.capacity)
+	if err != nil {
+		return pbft.Digest{}, err
 	}
-	return e.Bytes()
+	return windowDigest(nextSeq, window), nil
 }
 
 // Restore implements pbft.App.
 func (q *Queue) Restore(snapshot []byte) error {
-	d := cdr.NewDecoder(snapshot, cdr.BigEndian)
-	nextSeq, err := d.ReadULongLong()
+	nextSeq, window, err := decodeWindow(snapshot, q.capacity)
 	if err != nil {
-		return fmt.Errorf("srm: queue snapshot: %w", err)
-	}
-	n, err := d.ReadULong()
-	if err != nil {
-		return fmt.Errorf("srm: queue snapshot: %w", err)
-	}
-	if int(n) > q.capacity {
-		return fmt.Errorf("srm: snapshot window %d exceeds capacity %d", n, q.capacity)
-	}
-	window := make([]queuedMsg, 0, n)
-	for i := 0; i < int(n); i++ {
-		seq, err := d.ReadULongLong()
-		if err != nil {
-			return err
-		}
-		sender, err := d.ReadString()
-		if err != nil {
-			return err
-		}
-		data, err := d.ReadOctets()
-		if err != nil {
-			return err
-		}
-		window = append(window, queuedMsg{seq: seq, sender: sender, data: append([]byte(nil), data...)})
+		return err
 	}
 	q.nextSeq = nextSeq
 	q.window = window
@@ -165,6 +184,81 @@ func (q *Queue) Restore(snapshot []byte) error {
 		q.onRestore()
 	}
 	return nil
+}
+
+// windowDigest is the queue's checkpoint digest. Each per-message digest
+// is fixed-length and commits to its sequence, sender and data, so the
+// concatenation is unambiguous.
+func windowDigest(nextSeq uint64, window []queuedMsg) pbft.Digest {
+	h := sha256.New()
+	var hdr [12]byte
+	binary.BigEndian.PutUint64(hdr[:], nextSeq)
+	binary.BigEndian.PutUint32(hdr[8:], uint32(len(window)))
+	h.Write(hdr[:])
+	for i := range window {
+		h.Write(window[i].digest[:])
+	}
+	var d pbft.Digest
+	h.Sum(d[:0])
+	return d
+}
+
+func encodeWindow(nextSeq uint64, window []queuedMsg) []byte {
+	e := cdr.NewEncoder(cdr.BigEndian)
+	e.WriteULongLong(nextSeq)
+	e.WriteULong(uint32(len(window)))
+	for _, m := range window {
+		e.WriteULongLong(m.seq)
+		e.WriteString(m.sender)
+		e.WriteOctets(m.data)
+	}
+	return e.Bytes()
+}
+
+// minMsgBytes is the smallest encoding of one queued message: sequence,
+// sender length and NUL, data length.
+const minMsgBytes = 8 + 4 + 1 + 4
+
+// decodeWindow parses a queue snapshot, copying each message and
+// computing its digest. Snapshots arrive from peers in state transfer, so
+// the window length is checked against the capacity and the input size
+// before anything is allocated, and trailing bytes are rejected.
+func decodeWindow(snapshot []byte, capacity int) (uint64, []queuedMsg, error) {
+	d := cdr.NewDecoder(snapshot, cdr.BigEndian)
+	nextSeq, err := d.ReadULongLong()
+	if err != nil {
+		return 0, nil, fmt.Errorf("srm: queue snapshot: %w", err)
+	}
+	n, err := d.ReadULong()
+	if err != nil {
+		return 0, nil, fmt.Errorf("srm: queue snapshot: %w", err)
+	}
+	if int(n) > capacity {
+		return 0, nil, fmt.Errorf("srm: snapshot window %d exceeds capacity %d", n, capacity)
+	}
+	if int(n) > d.Remaining()/minMsgBytes {
+		return 0, nil, fmt.Errorf("srm: snapshot window %d exceeds its %d bytes", n, d.Remaining())
+	}
+	window := make([]queuedMsg, 0, n)
+	for i := 0; i < int(n); i++ {
+		seq, err := d.ReadULongLong()
+		if err != nil {
+			return 0, nil, err
+		}
+		sender, err := d.ReadString()
+		if err != nil {
+			return 0, nil, err
+		}
+		data, err := d.ReadOctets()
+		if err != nil {
+			return 0, nil, err
+		}
+		window = append(window, newMsg(seq, sender, data))
+	}
+	if d.Remaining() != 0 {
+		return 0, nil, fmt.Errorf("srm: %d trailing bytes after queue snapshot", d.Remaining())
+	}
+	return nextSeq, window, nil
 }
 
 // SetTentative implements pbft.TentativeApp: the replica brackets
